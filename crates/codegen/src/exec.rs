@@ -7,19 +7,20 @@
 //! [`TableAccess`], so each engine instantiates the identical algorithm over
 //! its own storage — managed heap objects, flat native rows, or staged
 //! buffers — which is precisely the relationship between the paper's
-//! generated C# (§4) and C (§5) code.
+//! generated C# (§4) and C (§5) code. The per-row expressions it evaluates
+//! are the typed kernels of [`crate::kernel`], compiled when the state is
+//! built.
 //!
 //! The consume step can be called repeatedly with successive chunks of the
 //! probe side, which is what the hybrid engine's buffered staging (§6.1.2)
 //! uses.
 
-use crate::spec::{AggSpec, OutputExpr, QuerySpec, ScalarExpr, SortKeySpec, StrOp};
+use crate::kernel::{AggKernel, AggState, Env, KeyKernel, QueryKernels, StringInterner};
+use crate::spec::{OutputExpr, QuerySpec, SortKeySpec};
 use mrq_common::hash::{hash_u64, hash_u64_pair, FxHashMap};
 use mrq_common::{
-    morsel, DataType, Date, Decimal, MrqError, ParallelConfig, Result, Schema, StreamSink, Value,
-    WorkStats,
+    morsel, Date, Decimal, MrqError, ParallelConfig, Result, Schema, StreamSink, Value, WorkStats,
 };
-use mrq_expr::{AggFunc, BinaryOp, UnaryOp};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
@@ -184,7 +185,7 @@ impl QueryOutput {
 const MAX_KEY_PARTS: usize = 6;
 
 /// A fixed-capacity composite key of encoded 64-bit parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct KeyBuf {
     parts: [u64; MAX_KEY_PARTS],
     len: u8,
@@ -197,36 +198,27 @@ impl KeyBuf {
             len: 0,
         }
     }
+    #[inline]
     fn push(&mut self, part: u64) {
-        assert!(
-            (self.len as usize) < MAX_KEY_PARTS,
-            "composite keys support at most {MAX_KEY_PARTS} parts"
-        );
+        // Key arity is checked against MAX_KEY_PARTS when the state is built.
         self.parts[self.len as usize] = part;
         self.len += 1;
     }
 }
 
-/// Interns strings so they can participate in encoded keys without
-/// allocation-per-row.
-#[derive(Debug, Default, Clone)]
-struct StringInterner {
-    map: FxHashMap<String, u64>,
-}
-
-impl StringInterner {
-    fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
+/// Hashes only the parts in use (unused parts are always zero, so this
+/// agrees with the derived equality).
+impl std::hash::Hash for KeyBuf {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for part in &self.parts[..self.len as usize] {
+            state.write_u64(*part);
         }
-        let id = self.map.len() as u64;
-        self.map.insert(s.to_string(), id);
-        id
     }
 }
 
-/// Encodes an already-materialised [`Value`] the same way [`EvalCtx::key_part`]
-/// encodes column reads. Used when merging partial execution states (parallel
+/// Encodes an already-materialised [`Value`] the same way the key kernels
+/// ([`crate::kernel`]) encode column reads. Used when merging partial execution states (parallel
 /// execution) where group keys are only available as values.
 fn key_part_of_value(value: &Value, interner: &mut StringInterner) -> u64 {
     match value {
@@ -385,11 +377,10 @@ impl BuiltJoinTable {
 
 /// The hash table used for one join level: either built for this execution
 /// from the (filtered) build side, or borrowed from a pre-built
-/// [`JoinIndex`]. Built tables sit behind an [`Arc`] so forking a state per
-/// morsel worker shares them instead of deep-copying the hash maps.
-#[derive(Clone)]
+/// [`JoinIndex`]. An execution's tables sit behind one [`Arc`], so forking a
+/// state per morsel worker shares them instead of deep-copying the maps.
 enum JoinTable<'a> {
-    Built(Arc<BuiltJoinTable>),
+    Built(BuiltJoinTable),
     Indexed(&'a JoinIndex),
 }
 
@@ -490,432 +481,6 @@ impl TopN {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar evaluation
-// ---------------------------------------------------------------------------
-
-/// A borrowed operand produced while evaluating predicates.
-enum Operand<'a> {
-    I64(i64),
-    Dec(Decimal),
-    F64(f64),
-    Date(Date),
-    Str(&'a str),
-    Bool(bool),
-}
-
-/// A numeric value produced by arithmetic expressions (aggregate inputs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Num {
-    I64(i64),
-    Dec(Decimal),
-    F64(f64),
-}
-
-impl Num {
-    fn to_f64(self) -> f64 {
-        match self {
-            Num::I64(v) => v as f64,
-            Num::Dec(d) => d.to_f64(),
-            Num::F64(v) => v,
-        }
-    }
-}
-
-struct EvalCtx<'a, T: TableAccess> {
-    root: &'a T,
-    builds: &'a [&'a T],
-    rows: &'a [usize],
-    params: &'a [Value],
-}
-
-impl<'a, T: TableAccess> EvalCtx<'a, T> {
-    #[inline]
-    fn table(&self, slot: usize) -> &'a T {
-        if slot == 0 {
-            self.root
-        } else {
-            self.builds[slot - 1]
-        }
-    }
-
-    fn column_type(&self, _slot: usize, _col: usize) -> DataType {
-        // Types were resolved during lowering; evaluation derives the shape
-        // from the expression structure, so this is unused.
-        DataType::Int64
-    }
-
-    fn operand(&self, expr: &'a ScalarExpr, types: &ColumnTypes) -> Operand<'a> {
-        match expr {
-            ScalarExpr::Column(c) => {
-                let t = self.table(c.slot);
-                match types.dtype(c.slot, c.col) {
-                    DataType::Bool => Operand::Bool(t.get_bool(self.rows[c.slot], c.col)),
-                    DataType::Int32 => Operand::I64(t.get_i32(self.rows[c.slot], c.col) as i64),
-                    DataType::Int64 => Operand::I64(t.get_i64(self.rows[c.slot], c.col)),
-                    DataType::Decimal => Operand::Dec(t.get_decimal(self.rows[c.slot], c.col)),
-                    DataType::Float64 => Operand::F64(t.get_f64(self.rows[c.slot], c.col)),
-                    DataType::Date => Operand::Date(t.get_date(self.rows[c.slot], c.col)),
-                    DataType::Str => Operand::Str(t.get_str(self.rows[c.slot], c.col)),
-                }
-            }
-            ScalarExpr::Const(v) => value_operand(v),
-            ScalarExpr::Param(i) => value_operand(&self.params[*i]),
-            other => {
-                // Composite arithmetic inside a comparison: evaluate as a
-                // number.
-                let _ = self.column_type(0, 0);
-                match self.number(other, types) {
-                    Num::I64(v) => Operand::I64(v),
-                    Num::Dec(d) => Operand::Dec(d),
-                    Num::F64(v) => Operand::F64(v),
-                }
-            }
-        }
-    }
-
-    fn bool_expr(&self, expr: &'a ScalarExpr, types: &ColumnTypes) -> bool {
-        match expr {
-            ScalarExpr::Binary { op, left, right } => match op {
-                BinaryOp::And => self.bool_expr(left, types) && self.bool_expr(right, types),
-                BinaryOp::Or => self.bool_expr(left, types) || self.bool_expr(right, types),
-                cmp if cmp.is_comparison() => {
-                    let l = self.operand(left, types);
-                    let r = self.operand(right, types);
-                    compare(*cmp, &l, &r)
-                }
-                _ => panic!("arithmetic expression used in a boolean position"),
-            },
-            ScalarExpr::Unary {
-                op: UnaryOp::Not,
-                expr,
-            } => !self.bool_expr(expr, types),
-            ScalarExpr::Const(v) => v.as_bool(),
-            ScalarExpr::Param(i) => self.params[*i].as_bool(),
-            ScalarExpr::Str { op, target, arg } => {
-                let t = self.operand(target, types);
-                let a = self.operand(arg, types);
-                match (t, a) {
-                    (Operand::Str(t), Operand::Str(a)) => match op {
-                        StrOp::StartsWith => t.starts_with(a),
-                        StrOp::EndsWith => t.ends_with(a),
-                        StrOp::Contains => t.contains(a),
-                    },
-                    _ => false,
-                }
-            }
-            ScalarExpr::Column(c) => {
-                let t = self.table(c.slot);
-                t.get_bool(self.rows[c.slot], c.col)
-            }
-            other => panic!("unsupported boolean expression {other:?}"),
-        }
-    }
-
-    fn number(&self, expr: &ScalarExpr, types: &ColumnTypes) -> Num {
-        match expr {
-            ScalarExpr::Column(c) => {
-                let t = self.table(c.slot);
-                match types.dtype(c.slot, c.col) {
-                    DataType::Int32 => Num::I64(t.get_i32(self.rows[c.slot], c.col) as i64),
-                    DataType::Int64 => Num::I64(t.get_i64(self.rows[c.slot], c.col)),
-                    DataType::Decimal => Num::Dec(t.get_decimal(self.rows[c.slot], c.col)),
-                    DataType::Float64 => Num::F64(t.get_f64(self.rows[c.slot], c.col)),
-                    DataType::Date => {
-                        Num::I64(t.get_date(self.rows[c.slot], c.col).epoch_days() as i64)
-                    }
-                    other => panic!("column of type {other} used in arithmetic"),
-                }
-            }
-            ScalarExpr::Const(v) => num_of_value(v),
-            ScalarExpr::Param(i) => num_of_value(&self.params[*i]),
-            ScalarExpr::Binary { op, left, right } => {
-                let l = self.number(left, types);
-                let r = self.number(right, types);
-                arith(*op, l, r)
-            }
-            ScalarExpr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => match self.number(expr, types) {
-                Num::I64(v) => Num::I64(-v),
-                Num::Dec(d) => Num::Dec(-d),
-                Num::F64(v) => Num::F64(-v),
-            },
-            other => panic!("unsupported numeric expression {other:?}"),
-        }
-    }
-
-    fn key_part(
-        &self,
-        expr: &'a ScalarExpr,
-        types: &ColumnTypes,
-        interner: &mut StringInterner,
-    ) -> u64 {
-        match self.operand(expr, types) {
-            Operand::I64(v) => v as u64,
-            Operand::Dec(d) => d.raw() as u64,
-            Operand::F64(v) => v.to_bits(),
-            Operand::Date(d) => d.epoch_days() as u32 as u64,
-            Operand::Bool(b) => b as u64,
-            Operand::Str(s) => interner.intern(s),
-        }
-    }
-
-    fn value(&self, expr: &ScalarExpr, types: &ColumnTypes) -> Value {
-        match expr {
-            ScalarExpr::Column(c) => self.table(c.slot).get_value(self.rows[c.slot], c.col),
-            ScalarExpr::Const(v) => v.clone(),
-            ScalarExpr::Param(i) => self.params[*i].clone(),
-            ScalarExpr::Str { .. }
-            | ScalarExpr::Unary {
-                op: UnaryOp::Not, ..
-            } => Value::Bool(self.bool_expr(expr, types)),
-            ScalarExpr::Binary { op, .. } if op.is_comparison() || op.is_logical() => {
-                Value::Bool(self.bool_expr(expr, types))
-            }
-            other => match self.number(other, types) {
-                Num::I64(v) => Value::Int64(v),
-                Num::Dec(d) => Value::Decimal(d),
-                Num::F64(v) => Value::Float64(v),
-            },
-        }
-    }
-}
-
-fn value_operand(v: &Value) -> Operand<'_> {
-    match v {
-        Value::Bool(b) => Operand::Bool(*b),
-        Value::Int32(i) => Operand::I64(*i as i64),
-        Value::Int64(i) => Operand::I64(*i),
-        Value::Decimal(d) => Operand::Dec(*d),
-        Value::Float64(f) => Operand::F64(*f),
-        Value::Date(d) => Operand::Date(*d),
-        Value::Str(s) => Operand::Str(s),
-        Value::Null => Operand::Bool(false),
-    }
-}
-
-fn num_of_value(v: &Value) -> Num {
-    match v {
-        Value::Int32(i) => Num::I64(*i as i64),
-        Value::Int64(i) => Num::I64(*i),
-        Value::Decimal(d) => Num::Dec(*d),
-        Value::Float64(f) => Num::F64(*f),
-        Value::Date(d) => Num::I64(d.epoch_days() as i64),
-        other => panic!("value {other:?} used in arithmetic"),
-    }
-}
-
-fn arith(op: BinaryOp, l: Num, r: Num) -> Num {
-    use BinaryOp::*;
-    match (l, r) {
-        (Num::F64(_), _) | (_, Num::F64(_)) => {
-            let (a, b) = (l.to_f64(), r.to_f64());
-            Num::F64(match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => a / b,
-                _ => panic!("non-arithmetic operator in arithmetic position"),
-            })
-        }
-        (Num::Dec(a), Num::Dec(b)) => Num::Dec(match op {
-            Add => a + b,
-            Sub => a - b,
-            Mul => a * b,
-            Div => Decimal::from_f64(a.to_f64() / b.to_f64()),
-            _ => panic!("non-arithmetic operator in arithmetic position"),
-        }),
-        (Num::Dec(a), Num::I64(b)) => arith(op, Num::Dec(a), Num::Dec(Decimal::from_int(b))),
-        (Num::I64(a), Num::Dec(b)) => arith(op, Num::Dec(Decimal::from_int(a)), Num::Dec(b)),
-        (Num::I64(a), Num::I64(b)) => Num::I64(match op {
-            Add => a + b,
-            Sub => a - b,
-            Mul => a * b,
-            Div => a / b,
-            _ => panic!("non-arithmetic operator in arithmetic position"),
-        }),
-    }
-}
-
-fn compare(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> bool {
-    let ord = match (l, r) {
-        (Operand::I64(a), Operand::I64(b)) => a.cmp(b),
-        (Operand::Dec(a), Operand::Dec(b)) => a.cmp(b),
-        (Operand::Dec(a), Operand::I64(b)) => a.cmp(&Decimal::from_int(*b)),
-        (Operand::I64(a), Operand::Dec(b)) => Decimal::from_int(*a).cmp(b),
-        (Operand::F64(a), Operand::F64(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-        (Operand::F64(a), Operand::I64(b)) => {
-            a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal)
-        }
-        (Operand::I64(a), Operand::F64(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-        (Operand::Date(a), Operand::Date(b)) => a.cmp(b),
-        (Operand::Str(a), Operand::Str(b)) => a.cmp(b),
-        (Operand::Bool(a), Operand::Bool(b)) => a.cmp(b),
-        _ => panic!("comparison between incompatible operand types"),
-    };
-    match op {
-        BinaryOp::Eq => ord == Ordering::Equal,
-        BinaryOp::Ne => ord != Ordering::Equal,
-        BinaryOp::Lt => ord == Ordering::Less,
-        BinaryOp::Le => ord != Ordering::Greater,
-        BinaryOp::Gt => ord == Ordering::Greater,
-        BinaryOp::Ge => ord != Ordering::Less,
-        _ => unreachable!(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Column types registry
-// ---------------------------------------------------------------------------
-
-/// Column types per slot, captured at compile (lowering) time so evaluation
-/// never consults schemas in the hot loop.
-#[derive(Debug, Clone)]
-pub struct ColumnTypes {
-    per_slot: Vec<Vec<DataType>>,
-}
-
-impl ColumnTypes {
-    /// Builds the registry from the slot schemas (index 0 = root).
-    pub fn new(slot_schemas: &[Schema]) -> Self {
-        ColumnTypes {
-            per_slot: slot_schemas
-                .iter()
-                .map(|s| s.fields().iter().map(|f| f.dtype).collect())
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn dtype(&self, slot: usize, col: usize) -> DataType {
-        self.per_slot[slot][col]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate state
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    SumI64(i64),
-    SumDec(Decimal),
-    SumF64(f64),
-    Avg {
-        sum: f64,
-        count: i64,
-    },
-    /// Averages over decimal inputs accumulate exactly in fixed point, so
-    /// they are associative: merging per-worker partial states yields the
-    /// bit-identical result of a sequential scan at any thread count
-    /// (float accumulation would drift by an ulp across morsel boundaries).
-    AvgDec {
-        sum: Decimal,
-        count: i64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    fn new(spec: &AggSpec) -> AggState {
-        match spec.func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Average => match spec.input_dtype {
-                Some(DataType::Decimal) => AggState::AvgDec {
-                    sum: Decimal::ZERO,
-                    count: 0,
-                },
-                _ => AggState::Avg { sum: 0.0, count: 0 },
-            },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Sum => match spec.dtype {
-                DataType::Decimal => AggState::SumDec(Decimal::ZERO),
-                DataType::Float64 => AggState::SumF64(0.0),
-                _ => AggState::SumI64(0),
-            },
-        }
-    }
-
-    fn finish(&self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int64(*n),
-            AggState::SumI64(v) => Value::Int64(*v),
-            AggState::SumDec(d) => Value::Decimal(*d),
-            AggState::SumF64(v) => Value::Float64(*v),
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum / *count as f64)
-                }
-            }
-            AggState::AvgDec { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum.to_f64() / *count as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Folds another partial state of the same aggregate into this one (used
-    /// when merging per-worker states after a parallel scan).
-    fn merge(&mut self, other: &AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::SumI64(a), AggState::SumI64(b)) => *a += b,
-            (AggState::SumDec(a), AggState::SumDec(b)) => *a += *b,
-            (AggState::SumF64(a), AggState::SumF64(b)) => *a += b,
-            (
-                AggState::Avg { sum, count },
-                AggState::Avg {
-                    sum: other_sum,
-                    count: other_count,
-                },
-            ) => {
-                *sum += other_sum;
-                *count += other_count;
-            }
-            (
-                AggState::AvgDec { sum, count },
-                AggState::AvgDec {
-                    sum: other_sum,
-                    count: other_count,
-                },
-            ) => {
-                *sum += *other_sum;
-                *count += other_count;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(v) = b {
-                    if a.as_ref()
-                        .is_none_or(|cur| v.total_cmp(cur) == Ordering::Less)
-                    {
-                        *a = Some(v.clone());
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(v) = b {
-                    if a.as_ref()
-                        .is_none_or(|cur| v.total_cmp(cur) == Ordering::Greater)
-                    {
-                        *a = Some(v.clone());
-                    }
-                }
-            }
-            _ => panic!("merging mismatched aggregate states"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The executor
 // ---------------------------------------------------------------------------
 
@@ -923,17 +488,19 @@ impl AggState {
 /// tables.
 pub struct ExecState<'a, T: TableAccess> {
     spec: &'a QuerySpec,
-    params: &'a [Value],
-    types: ColumnTypes,
+    /// Every scalar of `spec`, compiled for this execution's bindings and
+    /// shared by its morsel forks.
+    kernels: Arc<QueryKernels<'a, T>>,
     builds: Vec<&'a T>,
-    join_tables: Vec<JoinTable<'a>>,
+    /// One table per join level, shared by every fork (empty until built).
+    join_tables: Arc<[JoinTable<'a>]>,
     interner: StringInterner,
     groups: FxHashMap<KeyBuf, usize>,
     group_keys: Vec<Vec<Value>>,
     group_aggs: Vec<Vec<AggState>>,
     plain_rows: Vec<Vec<Value>>,
     topn: Option<TopN>,
-    /// Take limit resolved against `params` (a plan shared across executions
+    /// Take limit resolved against the bindings (a plan shared across executions
     /// may carry its Take count in a parameter slot rather than in the spec).
     take: Option<usize>,
     consumed_rows: u64,
@@ -957,7 +524,7 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// (root first).
     pub fn new(
         spec: &'a QuerySpec,
-        params: &'a [Value],
+        params: &[Value],
         builds: Vec<&'a T>,
         slot_schemas: &[Schema],
     ) -> Result<Self> {
@@ -971,7 +538,7 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// single non-string build key over the unfiltered build table).
     pub fn new_with_indexes(
         spec: &'a QuerySpec,
-        params: &'a [Value],
+        params: &[Value],
         builds: Vec<&'a T>,
         slot_schemas: &[Schema],
         indexes: &[Option<&'a JoinIndex>],
@@ -982,10 +549,12 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     }
 
     /// Constructs the state without building join tables (shared by the
-    /// sequential and parallel constructors).
+    /// sequential and parallel constructors). This is where the kernels are
+    /// built: column types are known and `params` are bound, so type errors
+    /// surface here as [`MrqError::Codegen`], before any row is read.
     fn new_unbuilt(
         spec: &'a QuerySpec,
-        params: &'a [Value],
+        params: &[Value],
         builds: Vec<&'a T>,
         slot_schemas: &[Schema],
         indexes: &[Option<&'a JoinIndex>],
@@ -1005,8 +574,20 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
             )));
         }
         spec.check_params(params)?;
+        let widest_key = spec
+            .joins
+            .iter()
+            .map(|j| j.build_keys.len().max(j.probe_keys.len()))
+            .chain([spec.group_keys.len()])
+            .max()
+            .unwrap_or(0);
+        if widest_key > MAX_KEY_PARTS {
+            return Err(MrqError::Codegen(format!(
+                "composite keys support at most {MAX_KEY_PARTS} parts, found {widest_key}"
+            )));
+        }
         let take = spec.effective_take(params)?;
-        let types = ColumnTypes::new(slot_schemas);
+        let kernels = Arc::new(QueryKernels::compile(spec, slot_schemas, params)?);
         // OrderBy + Take over a non-grouped pipeline is fused into a bounded
         // top-N buffer; grouped queries sort their (few) groups at the end.
         let topn = match (take, spec.is_grouped(), spec.sort.is_empty()) {
@@ -1015,10 +596,9 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
         };
         Ok(ExecState {
             spec,
-            params,
-            types,
+            kernels,
             builds,
-            join_tables: Vec::new(),
+            join_tables: Arc::new([]),
             interner: StringInterner::default(),
             groups: FxHashMap::default(),
             group_keys: Vec::new(),
@@ -1120,68 +700,53 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     }
 
     fn build_join_tables(&mut self, indexes: &[Option<&'a JoinIndex>]) -> Result<()> {
+        let mut tables = Vec::with_capacity(indexes.len());
         for (j, slot_index) in indexes.iter().enumerate() {
             if let Some(index) = slot_index {
                 Self::check_index_applicable(&self.spec.joins[j])?;
-                self.join_tables.push(JoinTable::Indexed(index));
+                tables.push(JoinTable::Indexed(index));
                 continue;
             }
             let map = self.build_join_map(j);
-            self.join_tables
-                .push(JoinTable::Built(Arc::new(BuiltJoinTable::single(map))));
+            tables.push(JoinTable::Built(BuiltJoinTable::single(map)));
         }
+        self.join_tables = tables.into();
         Ok(())
     }
 
     /// Builds the hash table for join `j` sequentially (the seed behaviour):
     /// one pass over the build side, inserting into a single map.
     fn build_join_map(&mut self, j: usize) -> FxHashMap<KeyBuf, Vec<usize>> {
-        let spec = self.spec;
-        let join = &spec.joins[j];
+        let join = &self.spec.joins[j];
+        let kernels = &self.kernels.joins[j];
         let table = self.builds[j];
         let mut map: FxHashMap<KeyBuf, Vec<usize>> =
             FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
         // Build-side rows are evaluated with the build slot bound; other
         // slots are irrelevant for build filters/keys.
-        let mut rows = vec![0usize; spec.joins.len() + 1];
+        let mut rows = vec![0usize; self.spec.joins.len() + 1];
         'rows: for r in 0..table.len() {
             self.work.scanned_row();
             if r.is_multiple_of(CANCEL_CHECK_ROWS) {
                 mrq_common::cancel::checkpoint();
             }
             rows[join.slot] = r;
-            let ctx = EvalCtx {
+            let env = Env {
                 root: table, // never consulted: build expressions only use `join.slot`
                 builds: &self.builds,
                 rows: &rows,
-                params: self.params,
             };
-            for f in &join.build_filters {
-                if !ctx.bool_expr(f, &self.types) {
-                    continue 'rows;
-                }
+            if !kernels.build_filters.iter().all(|f| f(&env)) {
+                continue 'rows;
             }
             let mut key = KeyBuf::new();
-            for k in &join.build_keys {
-                key.push(ctx.key_part(k, &self.types, &mut self.interner));
+            for k in &kernels.build_keys {
+                key.push(k.part(&env, &mut self.interner));
             }
             map.entry(key).or_default().push(r);
             self.work.built_insert();
         }
         map
-    }
-
-    /// True if evaluating this build-key expression would intern a string.
-    /// String keys force the sequential build: the interner assigns ids in
-    /// first-seen order, which a parallel scan could not reproduce.
-    fn key_interns_strings(&self, expr: &ScalarExpr) -> bool {
-        match expr {
-            ScalarExpr::Column(c) => matches!(self.types.dtype(c.slot, c.col), DataType::Str),
-            ScalarExpr::Const(v) => matches!(v, Value::Str(_)),
-            ScalarExpr::Param(i) => matches!(self.params[*i], Value::Str(_)),
-            // Composite arithmetic / comparisons never produce strings.
-            _ => false,
-        }
     }
 
     /// Streams (a chunk of) the probe-side root table through the fused
@@ -1196,9 +761,13 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// with [`ExecState::merge`].
     pub fn consume_range(&mut self, root: &T, range: Range<usize>) {
         self.work.executed_morsel();
+        // Local handles, so the per-row calls below can borrow `self`
+        // mutably while reading the shared kernels and join tables.
+        let kernels = Arc::clone(&self.kernels);
+        let join_tables = Arc::clone(&self.join_tables);
         let join_count = self.spec.joins.len();
         let mut rows = vec![0usize; join_count + 1];
-        'rows: for r in range {
+        for r in range {
             self.consumed_rows += 1;
             self.work.scanned_row();
             if self.consumed_rows.is_multiple_of(CANCEL_CHECK_ROWS as u64) {
@@ -1209,20 +778,14 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
                 self.flush_streamed();
             }
             rows[0] = r;
-            {
-                let ctx = EvalCtx {
-                    root,
-                    builds: &self.builds,
-                    rows: &rows,
-                    params: self.params,
-                };
-                for f in &self.spec.root_filters {
-                    if !ctx.bool_expr(f, &self.types) {
-                        continue 'rows;
-                    }
-                }
+            let env = Env {
+                root,
+                builds: &self.builds,
+                rows: &rows,
+            };
+            if kernels.root_filters.iter().all(|f| f(&env)) {
+                self.probe_level(&kernels, &join_tables, root, 0, &mut rows);
             }
-            self.probe_level(root, 0, &mut rows);
         }
         self.flush_streamed();
     }
@@ -1234,10 +797,9 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     pub fn fork(&self) -> ExecState<'a, T> {
         ExecState {
             spec: self.spec,
-            params: self.params,
-            types: self.types.clone(),
+            kernels: Arc::clone(&self.kernels),
             builds: self.builds.clone(),
-            join_tables: self.join_tables.clone(),
+            join_tables: Arc::clone(&self.join_tables),
             interner: self.interner.clone(),
             groups: self.groups.clone(),
             group_keys: self.group_keys.clone(),
@@ -1278,8 +840,13 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
                         let idx = self.group_keys.len();
                         self.groups.insert(key, idx);
                         self.group_keys.push(keys);
-                        self.group_aggs
-                            .push(self.spec.aggregates.iter().map(AggState::new).collect());
+                        self.group_aggs.push(
+                            self.kernels
+                                .aggregates
+                                .iter()
+                                .map(AggKernel::init)
+                                .collect(),
+                        );
                         idx
                     }
                 };
@@ -1302,92 +869,75 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
 
     /// Recursively probes join level `level` and emits rows at the deepest
     /// level.
-    fn probe_level(&mut self, root: &T, level: usize, rows: &mut Vec<usize>) {
+    fn probe_level(
+        &mut self,
+        kernels: &QueryKernels<'a, T>,
+        join_tables: &[JoinTable<'a>],
+        root: &T,
+        level: usize,
+        rows: &mut Vec<usize>,
+    ) {
         if level == self.spec.joins.len() {
-            self.emit(root, rows);
+            self.emit(kernels, root, rows);
             return;
         }
-        let join = &self.spec.joins[level];
         let mut key = KeyBuf::new();
-        {
-            let ctx = EvalCtx {
-                root,
-                builds: &self.builds,
-                rows,
-                params: self.params,
-            };
-            for k in &join.probe_keys {
-                key.push(ctx.key_part(k, &self.types, &mut self.interner));
-            }
-        }
-        self.work.probed(key.len as u64);
-        let matches = match self.join_tables[level].lookup(&key) {
-            Some(m) => m.to_vec(),
-            None => return,
-        };
-        let slot = join.slot;
-        for m in matches {
-            rows[slot] = m;
-            self.probe_level(root, level + 1, rows);
-        }
-    }
-
-    fn emit(&mut self, root: &T, rows: &[usize]) {
-        let ctx = EvalCtx {
+        let env = Env {
             root,
             builds: &self.builds,
             rows,
-            params: self.params,
         };
-        for f in &self.spec.post_filters {
-            if !ctx.bool_expr(f, &self.types) {
-                return;
-            }
+        for k in &kernels.joins[level].probe_keys {
+            key.push(k.part(&env, &mut self.interner));
+        }
+        self.work.probed(key.len as u64);
+        let Some(matches) = join_tables[level].lookup(&key) else {
+            return;
+        };
+        let slot = self.spec.joins[level].slot;
+        for &m in matches {
+            rows[slot] = m;
+            self.probe_level(kernels, join_tables, root, level + 1, rows);
+        }
+    }
+
+    fn emit(&mut self, kernels: &QueryKernels<'a, T>, root: &T, rows: &[usize]) {
+        let env = Env {
+            root,
+            builds: &self.builds,
+            rows,
+        };
+        if !kernels.post_filters.iter().all(|f| f(&env)) {
+            return;
         }
         self.emitted_rows += 1;
         self.work.materialized_row();
         if self.spec.is_grouped() {
             let mut key = KeyBuf::new();
-            for k in &self.spec.group_keys {
-                key.push(ctx.key_part(k, &self.types, &mut self.interner));
+            for k in &kernels.group_keys {
+                key.push(k.part(&env, &mut self.interner));
             }
             let group_idx = match self.groups.get(&key) {
                 Some(&idx) => idx,
                 None => {
                     let idx = self.group_keys.len();
                     self.groups.insert(key, idx);
-                    self.group_keys.push(
-                        self.spec
-                            .group_keys
-                            .iter()
-                            .map(|k| ctx.value(k, &self.types))
-                            .collect(),
-                    );
+                    self.group_keys
+                        .push(kernels.group_values.iter().map(|v| v(&env)).collect());
                     self.group_aggs
-                        .push(self.spec.aggregates.iter().map(AggState::new).collect());
+                        .push(kernels.aggregates.iter().map(AggKernel::init).collect());
                     idx
                 }
             };
-            for (agg_spec, state) in self
-                .spec
+            for (agg, state) in kernels
                 .aggregates
                 .iter()
                 .zip(self.group_aggs[group_idx].iter_mut())
             {
-                update_agg(state, agg_spec, &ctx, &self.types);
+                agg.update(state, &env);
             }
         } else {
-            let row: Vec<Value> = self
-                .spec
-                .output
-                .iter()
-                .map(|(_, o)| match o {
-                    OutputExpr::Scalar(e) => ctx.value(e, &self.types),
-                    OutputExpr::Key(_) | OutputExpr::Agg(_) => {
-                        unreachable!("key/agg outputs require grouping")
-                    }
-                })
-                .collect();
+            let row: Vec<Value> = kernels.outputs.iter().map(|o| o(&env)).collect();
             match &mut self.topn {
                 Some(topn) => topn.offer(row),
                 None => self.plain_rows.push(row),
@@ -1490,13 +1040,14 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
     /// results stay bit-identical to the sequential engines.
     pub fn new_parallel(
         spec: &'a QuerySpec,
-        params: &'a [Value],
+        params: &[Value],
         builds: Vec<&'a T>,
         slot_schemas: &[Schema],
         indexes: &[Option<&'a JoinIndex>],
         config: ParallelConfig,
     ) -> Result<Self> {
         let mut state = Self::new_unbuilt(spec, params, builds, slot_schemas, indexes)?;
+        let mut tables = Vec::with_capacity(indexes.len());
         for (j, slot_index) in indexes.iter().enumerate() {
             // Lifecycle control: a cancelled/expired query abandons the
             // remaining join builds here, between one build's shards and
@@ -1504,13 +1055,18 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
             mrq_common::cancel::checkpoint();
             if let Some(index) = slot_index {
                 Self::check_index_applicable(&spec.joins[j])?;
-                state.join_tables.push(JoinTable::Indexed(index));
+                tables.push(JoinTable::Indexed(index));
                 continue;
             }
-            let join = &spec.joins[j];
+            // String keys force the sequential build: the interner assigns
+            // ids in first-seen order, which a parallel scan could not
+            // reproduce.
             let parallel = !config.is_sequential()
                 && config.partitions_for(state.builds[j].len()) > 1
-                && !join.build_keys.iter().any(|k| state.key_interns_strings(k));
+                && !state.kernels.joins[j]
+                    .build_keys
+                    .iter()
+                    .any(KeyKernel::interns_strings);
             let table = if parallel {
                 let table = state.build_join_shards(j, config);
                 // Work accounting for the fan-out is derived *after* the
@@ -1531,8 +1087,9 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
             } else {
                 BuiltJoinTable::single(state.build_join_map(j))
             };
-            state.join_tables.push(JoinTable::Built(Arc::new(table)));
+            tables.push(JoinTable::Built(table));
         }
+        state.join_tables = tables.into();
         Ok(state)
     }
 
@@ -1543,6 +1100,8 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
     fn build_join_shards(&self, j: usize, config: ParallelConfig) -> BuiltJoinTable {
         let spec = self.spec;
         let join = &spec.joins[j];
+        let kernels = &self.kernels.joins[j];
+        let builds = &self.builds;
         let table = self.builds[j];
         let workers = config.partitions_for(table.len());
         let shard_count = workers.next_power_of_two();
@@ -1556,89 +1115,28 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
                 mrq_common::fault::point_unwind("join.build.shard");
                 let mut scratch = StringInterner::default(); // never used: no string keys
                 let mut rows = vec![0usize; spec.joins.len() + 1];
-                'rows: for r in range {
+                for r in range {
                     if r.is_multiple_of(CANCEL_CHECK_ROWS) {
                         mrq_common::cancel::checkpoint();
                     }
                     rows[join.slot] = r;
-                    let ctx = EvalCtx {
+                    let env = Env {
                         root: table, // never consulted: build expressions only use `join.slot`
-                        builds: &self.builds,
+                        builds,
                         rows: &rows,
-                        params: self.params,
                     };
-                    for f in &join.build_filters {
-                        if !ctx.bool_expr(f, &self.types) {
-                            continue 'rows;
-                        }
+                    if !kernels.build_filters.iter().all(|f| f(&env)) {
+                        continue;
                     }
                     let mut key = KeyBuf::new();
-                    for k in &join.build_keys {
-                        key.push(ctx.key_part(k, &self.types, &mut scratch));
+                    for k in &kernels.build_keys {
+                        key.push(k.part(&env, &mut scratch));
                     }
                     let shard = (shard_hash(&key) >> (64 - bits)) as usize;
                     buckets[shard].push((key, r));
                 }
             });
         BuiltJoinTable { shards, bits }
-    }
-}
-
-fn update_agg<T: TableAccess>(
-    state: &mut AggState,
-    spec: &AggSpec,
-    ctx: &EvalCtx<'_, T>,
-    types: &ColumnTypes,
-) {
-    match state {
-        AggState::Count(n) => *n += 1,
-        AggState::SumI64(acc) => {
-            if let Num::I64(v) = ctx.number(spec.input.as_ref().expect("sum input"), types) {
-                *acc += v;
-            }
-        }
-        AggState::SumDec(acc) => match ctx.number(spec.input.as_ref().expect("sum input"), types) {
-            Num::Dec(d) => *acc += d,
-            Num::I64(v) => *acc += Decimal::from_int(v),
-            Num::F64(v) => *acc += Decimal::from_f64(v),
-        },
-        AggState::SumF64(acc) => {
-            *acc += ctx
-                .number(spec.input.as_ref().expect("sum input"), types)
-                .to_f64();
-        }
-        AggState::Avg { sum, count } => {
-            *sum += ctx
-                .number(spec.input.as_ref().expect("avg input"), types)
-                .to_f64();
-            *count += 1;
-        }
-        AggState::AvgDec { sum, count } => {
-            match ctx.number(spec.input.as_ref().expect("avg input"), types) {
-                Num::Dec(d) => *sum += d,
-                Num::I64(v) => *sum += Decimal::from_int(v),
-                Num::F64(v) => *sum += Decimal::from_f64(v),
-            }
-            *count += 1;
-        }
-        AggState::Min(best) => {
-            let v = ctx.value(spec.input.as_ref().expect("min input"), types);
-            if best
-                .as_ref()
-                .is_none_or(|b| v.total_cmp(b) == Ordering::Less)
-            {
-                *best = Some(v);
-            }
-        }
-        AggState::Max(best) => {
-            let v = ctx.value(spec.input.as_ref().expect("max input"), types);
-            if best
-                .as_ref()
-                .is_none_or(|b| v.total_cmp(b) == Ordering::Greater)
-            {
-                *best = Some(v);
-            }
-        }
     }
 }
 
@@ -1735,7 +1233,8 @@ pub fn execute_once<T: TableAccess>(
 mod tests {
     use super::*;
     use crate::spec::lower;
-    use mrq_common::Field;
+    use mrq_common::{DataType, Field};
+    use mrq_expr::BinaryOp;
     use mrq_expr::{canonicalize, col, lam, lit, Query, SourceId};
     use std::collections::HashMap;
 

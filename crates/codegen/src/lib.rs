@@ -21,6 +21,10 @@
 //!   executor is incremental (build → consume → finish) so the hybrid
 //!   engine's buffered staging and the native engine's deferred execution
 //!   both map onto it.
+//! * [`kernel`] — the per-row code those templates run: every scalar of a
+//!   [`QuerySpec`] compiled, once per execution, into typed closures over
+//!   the engine's [`TableAccess`], with the parameters bound as constants
+//!   and type errors reported before any row is read.
 //! * [`emit`] — emits the C#-like and C-like source text the paper's
 //!   provider would have compiled, and models the compilation cost the paper
 //!   reports (§7.4). We do not invoke a compiler at run time (no JIT backend
@@ -34,6 +38,7 @@
 
 pub mod emit;
 pub mod exec;
+pub mod kernel;
 pub mod spec;
 
 pub use exec::{ExecState, QueryOutput, TableAccess};

@@ -69,6 +69,19 @@ impl Decimal {
     /// `extendedprice * (1 - discount)`.
     #[inline]
     pub fn checked_mul(self, rhs: Decimal) -> Option<Decimal> {
+        // Fast path: the exact product and its rounding fit in an `i64`
+        // (always the case for TPC-H magnitudes); same result as below.
+        if let Some(wide) = self.0.checked_mul(rhs.0) {
+            let half = DECIMAL_ONE / 2;
+            let rounded = if wide >= 0 {
+                wide.checked_add(half)
+            } else {
+                wide.checked_sub(half)
+            };
+            if let Some(rounded) = rounded {
+                return Some(Decimal(rounded / DECIMAL_ONE));
+            }
+        }
         let wide = (self.0 as i128) * (rhs.0 as i128);
         let half = (DECIMAL_ONE as i128) / 2;
         let rounded = if wide >= 0 {

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 use mrq_codegen::exec::{ExecState, QueryOutput, TableAccess};
+use mrq_codegen::kernel::{RowFilter, RowProjection};
 use mrq_codegen::spec::{ColumnRef, OutputExpr, QuerySpec, ScalarExpr};
 use mrq_common::profile::{phases, CostBreakdown};
 use mrq_common::{
@@ -246,15 +247,31 @@ pub fn execute(
             tables.len()
         )));
     }
-    // Managed-side staging filters evaluate parameters before the ExecState
+    // Managed-side staging filters bind parameters before the ExecState
     // guard runs, so under-bound prepared executions must fail here.
     spec.check_params(params)?;
+    // The managed side evaluates the same typed kernels as the native side,
+    // over the heap objects: the root filters while staging the probe side,
+    // each join's build filters while staging its build side.
+    let root_filter = RowFilter::compile(&spec.root_filters, tables[0].schema(), params)?;
+    let build_filters = spec
+        .joins
+        .iter()
+        .map(|join| RowFilter::compile(&join.build_filters, tables[join.slot].schema(), params))
+        .collect::<Result<Vec<_>>>()?;
     let mut breakdown = CostBreakdown::new();
     let min_mode = config.transfer == TransferPolicy::Min;
     // Min-mode result reconstruction from managed objects is only defined for
     // non-grouped queries (the paper uses it for sorting and the plain join);
     // grouped queries fall back to Max.
     let min_mode = min_mode && !spec.is_grouped();
+    // Min transfer rebuilds the visible outputs from the managed objects
+    // with the same kernels, compiled before any row is staged.
+    let min_projection = if min_mode {
+        Some(min_output_projection(spec, params, tables)?)
+    } else {
+        None
+    };
 
     // ------------------------------------------------------------------
     // Plan the staging: per slot, which columns are shipped.
@@ -391,28 +408,18 @@ pub fn execute(
     // so they are identical whatever `config.parallel` says.
     let mut staging_work = WorkStats::default();
     let mut build_stores: Vec<StagedTable> = Vec::new();
-    for (j, join) in spec.joins.iter().enumerate() {
+    for (join, filter) in spec.joins.iter().zip(&build_filters) {
         let slot = join.slot;
         let table = tables[slot];
         let staging = &slots[slot];
         let store = breakdown.time(phases::STAGING, || {
-            stage_table_parallel(
-                table,
-                &staging.schema,
-                &staging.mapping,
-                staging.index_col,
-                &join.build_filters,
-                params,
-                config.layout,
-                config.parallel,
-            )
+            stage_table_parallel(table, staging, filter, config.layout, config.parallel)
         });
         staged_bytes += store.payload_bytes();
         staged_rows += store.len();
         staging_work.scanned_rows(table.len() as u64);
         staging_work.staged_rows(store.len() as u64);
         build_stores.push(store);
-        let _ = j;
     }
 
     // ------------------------------------------------------------------
@@ -487,15 +494,7 @@ pub fn execute(
             let end = (cursor + chunk).min(range.end);
             let start = Instant::now();
             let mut buffer = StagedTable::new(root_staging.schema.clone(), config.layout);
-            stage_range(
-                root,
-                cursor..end,
-                &root_staging.mapping,
-                root_staging.index_col,
-                &spec.root_filters,
-                params,
-                &mut buffer,
-            );
+            stage_range(root, cursor..end, root_staging, &root_filter, &mut buffer);
             run.staging_time += start.elapsed();
             run.staged_bytes = run.staged_bytes.max(buffer.payload_bytes());
             run.staged_rows += buffer.len();
@@ -595,9 +594,9 @@ pub fn execute(
     // original managed collections.
     // ------------------------------------------------------------------
     let native_out = breakdown.time(native_phase(spec), || state.finish());
-    let output = if min_mode {
+    let output = if let Some(projection) = &min_projection {
         breakdown.time(phases::RETURN_RESULT, || {
-            rebuild_min_output(spec, params, tables, &min_output_slots, native_out)
+            rebuild_min_output(spec, projection, tables, &min_output_slots, native_out)
         })?
     } else {
         breakdown.time(phases::RETURN_RESULT, || {
@@ -635,26 +634,14 @@ fn native_phase(spec: &QuerySpec) -> &'static str {
 
 /// Stages qualifying rows of a managed table into a fresh staging buffer in
 /// the configured layout.
-#[allow(clippy::too_many_arguments)]
-fn stage_table(
-    table: &HeapTable<'_>,
-    schema: &Schema,
-    mapping: &[(usize, usize)],
-    index_col: Option<usize>,
-    filters: &[ScalarExpr],
-    params: &[Value],
+fn stage_table<'h>(
+    table: &HeapTable<'h>,
+    staging: &SlotStaging,
+    filter: &RowFilter<'_, HeapTable<'h>>,
     layout: StagingLayout,
 ) -> StagedTable {
-    let mut store = StagedTable::new(schema.clone(), layout);
-    stage_range(
-        table,
-        0..table.len(),
-        mapping,
-        index_col,
-        filters,
-        params,
-        &mut store,
-    );
+    let mut store = StagedTable::new(staging.schema.clone(), layout);
+    stage_range(table, 0..table.len(), staging, filter, &mut store);
     store
 }
 
@@ -665,41 +652,35 @@ fn stage_table(
 /// in morsel order — so the staged table is byte-identical to what the
 /// sequential [`stage_table`] produces. Sequential configs and tiny tables
 /// take the sequential path directly.
-#[allow(clippy::too_many_arguments)]
-fn stage_table_parallel(
-    table: &HeapTable<'_>,
-    schema: &Schema,
-    mapping: &[(usize, usize)],
-    index_col: Option<usize>,
-    filters: &[ScalarExpr],
-    params: &[Value],
+fn stage_table_parallel<'h>(
+    table: &HeapTable<'h>,
+    staging: &SlotStaging,
+    filter: &RowFilter<'_, HeapTable<'h>>,
     layout: StagingLayout,
     config: ParallelConfig,
 ) -> StagedTable {
     if config.partitions_for(table.len()) <= 1 {
-        return stage_table(table, schema, mapping, index_col, filters, params, layout);
+        return stage_table(table, staging, filter, layout);
     }
-    let width = schema.len();
+    let width = staging.schema.len();
     let partials: Vec<Vec<Vec<Value>>> = morsel::dispatch(table.len(), config, |_, range| {
         let mut staged = Vec::new();
-        'rows: for row in range {
-            for f in filters {
-                if !eval_managed_predicate(f, table, row, params) {
-                    continue 'rows;
-                }
+        for row in range {
+            if !filter.matches(table, row) {
+                continue;
             }
             let mut buf = vec![Value::Null; width];
-            for (orig, staged_col) in mapping {
+            for (orig, staged_col) in &staging.mapping {
                 buf[*staged_col] = table.get_value(row, *orig);
             }
-            if let Some(idx_col) = index_col {
+            if let Some(idx_col) = staging.index_col {
                 buf[idx_col] = Value::Int64(row as i64);
             }
             staged.push(buf);
         }
         staged
     });
-    let mut store = StagedTable::new(schema.clone(), layout);
+    let mut store = StagedTable::new(staging.schema.clone(), layout);
     for rows in &partials {
         for row in rows {
             store.push_values(row);
@@ -709,149 +690,84 @@ fn stage_table_parallel(
 }
 
 /// Stages qualifying rows of a range of a managed table into `store`.
-#[allow(clippy::too_many_arguments)]
-fn stage_range(
-    table: &HeapTable<'_>,
+fn stage_range<'h>(
+    table: &HeapTable<'h>,
     range: std::ops::Range<usize>,
-    mapping: &[(usize, usize)],
-    index_col: Option<usize>,
-    filters: &[ScalarExpr],
-    params: &[Value],
+    staging: &SlotStaging,
+    filter: &RowFilter<'_, HeapTable<'h>>,
     store: &mut StagedTable,
 ) {
     let width = store.schema().len();
     let mut row_buf: Vec<Value> = vec![Value::Null; width];
-    'rows: for row in range {
+    for row in range {
         // Intra-morsel cancellation cadence, shared with every fused loop:
         // a no-op outside a cancel scope.
         if row.is_multiple_of(mrq_common::cancel::CHECK_EVERY_ROWS) {
             mrq_common::cancel::checkpoint();
         }
-        for f in filters {
-            if !eval_managed_predicate(f, table, row, params) {
-                continue 'rows;
-            }
+        if !filter.matches(table, row) {
+            continue;
         }
-        for (orig, staged) in mapping {
+        for (orig, staged) in &staging.mapping {
             row_buf[*staged] = table.get_value(row, *orig);
         }
-        if let Some(idx_col) = index_col {
+        if let Some(idx_col) = staging.index_col {
             row_buf[idx_col] = Value::Int64(row as i64);
         }
         store.push_values(&row_buf);
     }
 }
 
-/// Evaluates a single-slot predicate against a managed table row. This is
-/// the "apply predicates in C#" part of the hybrid strategy.
-fn eval_managed_predicate(
-    expr: &ScalarExpr,
-    table: &HeapTable<'_>,
-    row: usize,
+/// Compiles the visible output columns over the managed collections, for
+/// Min-mode result reconstruction.
+fn min_output_projection<'k, 'h: 'k>(
+    spec: &QuerySpec,
     params: &[Value],
-) -> bool {
-    eval_managed_value(expr, table, row, params).as_bool()
-}
-
-fn eval_managed_value(
-    expr: &ScalarExpr,
-    table: &HeapTable<'_>,
-    row: usize,
-    params: &[Value],
-) -> Value {
-    match expr {
-        ScalarExpr::Column(c) => table.get_value(row, c.col),
-        ScalarExpr::Const(v) => v.clone(),
-        ScalarExpr::Param(i) => params[*i].clone(),
-        ScalarExpr::Binary { op, left, right } => {
-            let l = eval_managed_value(left, table, row, params);
-            let r = eval_managed_value(right, table, row, params);
-            mrq_expr::canonical::eval_binary(*op, &l, &r).unwrap_or(Value::Bool(false))
-        }
-        ScalarExpr::Unary { op, expr } => {
-            let v = eval_managed_value(expr, table, row, params);
-            mrq_expr::canonical::eval_unary(*op, &v).unwrap_or(Value::Bool(false))
-        }
-        ScalarExpr::Str { op, target, arg } => {
-            let t = eval_managed_value(target, table, row, params);
-            let a = eval_managed_value(arg, table, row, params);
-            let out = match (t.as_str(), a.as_str()) {
-                (Some(t), Some(a)) => match op {
-                    mrq_codegen::spec::StrOp::StartsWith => t.starts_with(a),
-                    mrq_codegen::spec::StrOp::EndsWith => t.ends_with(a),
-                    mrq_codegen::spec::StrOp::Contains => t.contains(a),
-                },
-                _ => false,
-            };
-            Value::Bool(out)
-        }
-    }
+    tables: &[&HeapTable<'h>],
+) -> Result<RowProjection<'k, HeapTable<'h>>> {
+    let outputs = spec
+        .output
+        .iter()
+        .take(spec.visible_outputs())
+        .map(|(_, o)| match o {
+            OutputExpr::Scalar(e) => Ok(e),
+            _ => Err(MrqError::Internal(
+                "min mode requires scalar outputs".into(),
+            )),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let schemas: Vec<Schema> = tables.iter().map(|t| t.schema().clone()).collect();
+    RowProjection::compile(&outputs, &schemas, params)
 }
 
 /// Min-mode result reconstruction: native execution produced, per result
 /// row, the index of the original managed object(s); the real output columns
 /// are read back from those objects.
-fn rebuild_min_output(
+fn rebuild_min_output<'h>(
     spec: &QuerySpec,
-    params: &[Value],
-    tables: &[&HeapTable<'_>],
+    projection: &RowProjection<'_, HeapTable<'h>>,
+    tables: &[&HeapTable<'h>],
     output_slots: &[usize],
     native_out: QueryOutput,
 ) -> Result<QueryOutput> {
     let work = native_out.work;
     let mut rows = Vec::with_capacity(native_out.rows.len());
+    let mut slot_rows = vec![0usize; spec.joins.len() + 1];
     for native_row in &native_out.rows {
         // Map slot -> original row index.
-        let mut slot_rows = vec![0usize; spec.joins.len() + 1];
         for (pos, &slot) in output_slots.iter().enumerate() {
             slot_rows[slot] = native_row[pos]
                 .as_i64()
                 .ok_or_else(|| MrqError::Internal("missing index column".into()))?
                 as usize;
         }
-        let mut row = Vec::with_capacity(spec.visible_outputs());
-        for (_, o) in spec.output.iter().take(spec.visible_outputs()) {
-            match o {
-                OutputExpr::Scalar(e) => {
-                    row.push(eval_multi_slot_value(e, tables, &slot_rows, params))
-                }
-                _ => {
-                    return Err(MrqError::Internal(
-                        "min mode requires scalar outputs".into(),
-                    ))
-                }
-            }
-        }
-        rows.push(row);
+        rows.push(projection.project(tables, &slot_rows));
     }
     Ok(QueryOutput {
         schema: spec.output_schema.clone(),
         rows,
         work,
     })
-}
-
-fn eval_multi_slot_value(
-    expr: &ScalarExpr,
-    tables: &[&HeapTable<'_>],
-    slot_rows: &[usize],
-    params: &[Value],
-) -> Value {
-    match expr {
-        ScalarExpr::Column(c) => tables[c.slot].get_value(slot_rows[c.slot], c.col),
-        ScalarExpr::Const(v) => v.clone(),
-        ScalarExpr::Param(i) => params[*i].clone(),
-        ScalarExpr::Binary { op, left, right } => {
-            let l = eval_multi_slot_value(left, tables, slot_rows, params);
-            let r = eval_multi_slot_value(right, tables, slot_rows, params);
-            mrq_expr::canonical::eval_binary(*op, &l, &r).unwrap_or(Value::Null)
-        }
-        ScalarExpr::Unary { op, expr } => {
-            let v = eval_multi_slot_value(expr, tables, slot_rows, params);
-            mrq_expr::canonical::eval_unary(*op, &v).unwrap_or(Value::Null)
-        }
-        ScalarExpr::Str { .. } => Value::Bool(false),
-    }
 }
 
 #[cfg(test)]
